@@ -17,7 +17,6 @@ assert on its counters (e.g. "a warm rerun executed nothing").
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Any
@@ -57,15 +56,6 @@ class TaskRecord:
                 "attempts": self.attempts, "started": self.started,
                 "finished": self.finished, "key": self.key,
                 "error": self.error}
-
-    @classmethod
-    def from_event(cls, event: dict[str, Any]) -> "TaskRecord":
-        return cls(index=int(event["index"]), label=str(event["label"]),
-                   status=str(event["status"]), cache=str(event["cache"]),
-                   attempts=int(event["attempts"]),
-                   started=float(event["started"]),
-                   finished=float(event["finished"]),
-                   key=event.get("key"), error=event.get("error"))
 
 
 @dataclass
@@ -222,31 +212,20 @@ class RunJournal:
     # -- persistence (telemetry JSONL schema) -------------------------------
 
     def to_jsonl(self, path: Any) -> int:
-        """Write the journal as schema-valid JSONL; returns the record
-        count.  ``jubench report PATH`` renders the file offline."""
-        from ..telemetry.schema import meta_event  # avoid import cycle
+        """Write the journal as schema-valid JSONL, atomically; returns
+        the record count.  ``jubench report PATH`` renders the file
+        offline."""
+        from ..telemetry.schema import trace_ledger  # avoid import cycle
 
         recs = self.records
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in [meta_event()] + [r.to_event() for r in recs]:
-                fh.write(json.dumps(obj, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        trace_ledger(path).rewrite(lambda fresh: [r.to_event() for r in recs])
         return len(recs)
 
     @classmethod
     def from_jsonl(cls, path: Any) -> "RunJournal":
         """Rebuild a journal from a JSONL trace (its own ``task``
         events, or engine task spans from a full telemetry trace)."""
+        from ..telemetry.report import journal_from_events
         from ..telemetry.schema import read_events
 
-        journal = cls()
-        for event in read_events(path):
-            if event["type"] == "task":
-                journal.append(TaskRecord.from_event(event))
-            elif event["type"] == "span" and \
-                    event["attrs"].get("kind") == "task":
-                attrs = dict(event["attrs"])
-                attrs["started"] = event["start"]
-                attrs["finished"] = event["end"]
-                journal.append(TaskRecord.from_event(attrs))
-        return journal
+        return journal_from_events(read_events(path))

@@ -1,9 +1,9 @@
 """The append-only, content-addressed history database.
 
 A :class:`HistoryStore` accumulates :class:`~repro.history.record.RunRecord`
-entries -- in memory, or durably as one JSONL file whose first line is
-a schema meta header and every further line one record.  Records are
-never mutated or deleted in place (append-only); the only rewriting
+entries -- in memory, or durably as one :mod:`repro.ledger` file (a
+schema header line, then one record per line).  Records are never
+mutated or deleted in place (append-only); the only rewriting
 operation is explicit :meth:`compact`, which applies the documented
 retention rule (keep the last N points per series) and writes a fresh
 file.
@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
+from ..ledger import Ledger, sniff
 from .record import HISTORY_SCHEMA, HISTORY_VERSION, RunRecord
 
 
@@ -30,18 +31,19 @@ class HistoryError(ValueError):
     """A history database file violates the schema."""
 
 
-def _meta_line() -> dict[str, Any]:
-    meta = {"type": "history-meta", "schema": HISTORY_SCHEMA,
-            "version": HISTORY_VERSION}
-    return meta
+def _ledger(path: str | Path) -> Ledger:
+    return Ledger(path, HISTORY_SCHEMA, HISTORY_VERSION, RunRecord.from_line,
+                  HistoryError)
 
 
 class HistoryStore:
     """Append-only run database with per-series sequence numbers.
 
     ``path=None`` keeps the store in memory; with a path every append
-    is immediately written through (one JSON line, crash-safe), and
+    is immediately written through (one :mod:`repro.ledger` line), and
     constructing the store re-reads whatever the file already holds.
+    Sequence numbers come from the file itself, read under the ledger's
+    lock, so several processes can append to one database.
     Thread-safe: suite drivers append from the main thread in
     submission order, which keeps sequence numbers worker-count
     independent.
@@ -52,74 +54,45 @@ class HistoryStore:
         self._records: list[RunRecord] = []
         self._series_len: dict[str, int] = {}
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            for rec in self._read(self.path):
+        self._ledger = None if path is None else _ledger(path)
+        if self._ledger is not None:
+            fresh = self._ledger.read() if self.path.exists() else \
+                self._ledger.append(lambda fresh: None)
+            for rec in fresh:
                 self._adopt(rec)
-        elif self.path is not None:
-            self._write_header(self.path)
 
     # -- ingestion ----------------------------------------------------------
 
-    @staticmethod
-    def _read(path: Path) -> Iterable[RunRecord]:
-        with open(path, encoding="utf-8") as fh:
-            first = True
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise HistoryError(
-                        f"{path}:{lineno}: not JSON: {exc}") from exc
-                if first:
-                    first = False
-                    if obj.get("type") != "history-meta" or \
-                            obj.get("schema") != HISTORY_SCHEMA:
-                        raise HistoryError(
-                            f"{path}:{lineno}: not a history database "
-                            f"(expected a {HISTORY_SCHEMA!r} meta header)")
-                    continue
-                try:
-                    yield RunRecord.from_line(obj)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise HistoryError(
-                        f"{path}:{lineno}: bad record: {exc}") from exc
-
-    @staticmethod
-    def _write_header(path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_meta_line(), sort_keys=True,
-                                separators=(",", ":")) + "\n")
-
-    def _adopt(self, rec: RunRecord) -> RunRecord:
-        """Register an already-sequenced record read back from disk."""
+    def _adopt(self, rec: RunRecord) -> None:
+        """Register an already-sequenced record."""
         key = rec.series_key
         self._records.append(rec)
         self._series_len[key] = max(self._series_len.get(key, 0),
                                     rec.seq + 1)
-        return rec
 
     def append(self, rec: RunRecord) -> RunRecord:
         """Append one record; assigns its per-series sequence number.
 
         The record's ``seq`` becomes the current length of its series
-        (append order *is* history order), and with a backing file the
-        line is written through immediately.
+        (append order *is* history order), counting records other
+        processes appended to the backing file, and the line is written
+        through immediately.
         """
-        with self._lock:
-            key = rec.series_key
+        key = rec.series_key
+
+        def stamp(fresh: list[RunRecord]) -> dict[str, Any]:
+            for other in fresh:
+                self._adopt(other)
             rec.seq = self._series_len.get(key, 0)
+            return rec.to_line()
+
+        with self._lock:
+            if self._ledger is None:
+                stamp([])
+            else:
+                self._ledger.append(stamp)
             self._series_len[key] = rec.seq + 1
             self._records.append(rec)
-            if self.path is not None:
-                if not self.path.exists():
-                    self._write_header(self.path)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec.to_line(), sort_keys=True,
-                                        separators=(",", ":")) + "\n")
         return rec
 
     def extend(self, records: Iterable[RunRecord]) -> list[RunRecord]:
@@ -174,14 +147,9 @@ class HistoryStore:
 
     def save(self, path: str | Path) -> int:
         """Write the full store (meta header + every record) to a new
-        JSONL file; returns the record count."""
-        target = Path(path)
-        self._write_header(target)
+        JSONL file, atomically; returns the record count."""
         recs = self.records
-        with open(target, "a", encoding="utf-8") as fh:
-            for rec in recs:
-                fh.write(json.dumps(rec.to_line(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        _ledger(path).rewrite(lambda fresh: [r.to_line() for r in recs])
         return len(recs)
 
     def compact(self, keep_last: int,
@@ -198,15 +166,23 @@ class HistoryStore:
             raise ValueError("keep_last must be >= 1")
         target = Path(path) if path is not None else self.path
         out = HistoryStore()
-        for key in self.series_keys():
-            for rec in self.series(key)[-keep_last:]:
-                out._adopt(rec)
-        if target is not None:
-            tmp = target.with_suffix(target.suffix + ".tmp")
-            out.save(tmp)
-            tmp.replace(target)
-            out.path = target
-        return out
+
+        def kept(fresh: list[RunRecord]) -> list[dict[str, Any]]:
+            with self._lock:
+                for rec in fresh:
+                    self._adopt(rec)
+            for key in self.series_keys():
+                for rec in self.series(key)[-keep_last:]:
+                    out._adopt(rec)
+            return [r.to_line() for r in out.records]
+
+        if target is None:
+            kept([])
+            return out
+        # replacing its own file, the store first catches up under the lock
+        ledger = self._ledger if target == self.path else _ledger(target)
+        ledger.rewrite(kept)
+        return HistoryStore(target)
 
     # -- convenience --------------------------------------------------------
 
@@ -224,22 +200,6 @@ class HistoryStore:
 
 
 def is_history_file(path: str | Path) -> bool:
-    """Whether ``path`` looks like a history database (meta header
-    sniff; used by ``jubench report`` to dispatch rendering)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                return isinstance(obj, dict) and \
-                    obj.get("type") == "history-meta" and \
-                    obj.get("schema") == HISTORY_SCHEMA
-    except (OSError, json.JSONDecodeError):
-        return False
-    return False
-
-
-#: signature kept importable for tests that monkeypatch record building
-RecordFactory = Callable[..., RunRecord]
+    """Whether ``path`` is a history database (header sniff; used by
+    ``jubench report`` to dispatch rendering)."""
+    return sniff(path) == HISTORY_SCHEMA

@@ -1,12 +1,11 @@
 """The durable result store and the canonical result export.
 
 Every result envelope the interchange completes is appended here --
-in-memory always, and as crash-safe JSONL when the store was opened on
-a path (one wire document per line, ``meta`` header first, the same
-append-only discipline as :mod:`repro.history`).  The store is a
-*journal*: a task that was first rejected and later accepted leaves
-both records, and :meth:`ResultStore.final` resolves the last state
-per task id.
+in-memory always, and as a crash-safe :mod:`repro.ledger` file when
+the store was opened on a path (one wire document per line).  The
+store is a *journal*: a task that was first rejected and later
+accepted leaves both records, and :meth:`ResultStore.final` resolves
+the last state per task id.
 
 :meth:`ResultStore.canonical_export` is the service-path determinism
 artifact: the final ``ok``/``error`` outcome of every task, in
@@ -23,6 +22,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..ledger import Ledger
 from .envelope import (
     SERVICE_SCHEMA,
     SERVICE_VERSION,
@@ -32,52 +32,31 @@ from .envelope import (
 )
 
 
-def _meta_line() -> dict[str, Any]:
-    return {"kind": "meta", "schema": SERVICE_SCHEMA,
-            "version": SERVICE_VERSION}
-
-
 class ResultStore:
     """Append-only record of completed result envelopes."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: list[ResultEnvelope] = []
-        if self.path is not None and self.path.exists():
-            self._records = list(self._read(self.path))
+        self._ledger = None if path is None else Ledger(
+            path, SERVICE_SCHEMA, SERVICE_VERSION, ResultEnvelope.from_wire,
+            EnvelopeError)
+        if self._ledger is not None and self.path.exists():
+            self._records = list(self._ledger.read())
 
     @classmethod
     def open(cls, path: str | Path) -> "ResultStore":
         return cls(path)
 
-    @staticmethod
-    def _read(path: Path) -> Iterable[ResultEnvelope]:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    wire = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EnvelopeError(
-                        f"{path}:{lineno}: not JSON: {exc}") from exc
-                if wire.get("kind") == "meta":
-                    continue
-                try:
-                    yield ResultEnvelope.from_wire(wire)
-                except EnvelopeError as exc:
-                    raise EnvelopeError(f"{path}:{lineno}: {exc}") from exc
-
     def append(self, envelope: ResultEnvelope) -> None:
-        if self.path is not None:
-            fresh = not self.path.exists() or not self._records
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if fresh:
-                    fh.write(json.dumps(_meta_line(), sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-                fh.write(json.dumps(envelope.to_wire(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        """Record one envelope, after any that other processes appended
+        to the backing file since this store last read it."""
+        def wire(fresh: list[ResultEnvelope]) -> dict[str, Any]:
+            self._records += fresh
+            return envelope.to_wire()
+
+        if self._ledger is not None:
+            self._ledger.append(wire)
         self._records.append(envelope)
 
     @property

@@ -22,7 +22,8 @@ import json
 import threading
 from typing import Any, TextIO
 
-from .schema import meta_event
+from ..ledger import line
+from .schema import meta_event, trace_ledger
 from .spans import SpanRecord, Tracer
 
 #: Chrome pid of the suite/engine span timeline.
@@ -45,25 +46,29 @@ class JsonlSink:
     """Append-per-event JSONL writer (crash-safe, thread-safe).
 
     Subscribe it to a tracer: ``tracer.subscribe(JsonlSink(path))``.
-    Each event is one JSON line, flushed immediately.
+    Each event is one JSON line, written through immediately; a path
+    becomes a fresh :mod:`repro.ledger` trace file.
     """
 
     def __init__(self, path_or_file: Any):
         self._lock = threading.Lock()
+        self._ledger = None
         if hasattr(path_or_file, "write"):
             self._fh: TextIO = path_or_file
-            self._owns = False
+            self.path = getattr(self._fh, "name", None)
+            self.emit(meta_event())
         else:
-            self._fh = open(path_or_file, "w", encoding="utf-8")
-            self._owns = True
-        self.path = getattr(self._fh, "name", None)
-        self.emit(meta_event())
+            self._ledger = trace_ledger(path_or_file)
+            self._ledger.rewrite(lambda fresh: ())
+            self.path = path_or_file
 
     def emit(self, event: dict[str, Any]) -> None:
-        line = json.dumps(_json_safe(event), sort_keys=True,
-                          separators=(",", ":"))
+        obj = _json_safe(event)
+        if self._ledger is not None:
+            self._ledger.append(lambda fresh: obj)
+            return
         with self._lock:
-            self._fh.write(line + "\n")
+            self._fh.write(line(obj))
             self._fh.flush()
 
     # tracer subscriber protocol ------------------------------------------
@@ -74,9 +79,7 @@ class JsonlSink:
         self.emit(event)
 
     def close(self) -> None:
-        with self._lock:
-            if self._owns and not self._fh.closed:
-                self._fh.close()
+        """Nothing to release: each event opens and closes the file."""
 
     def __enter__(self) -> "JsonlSink":
         return self

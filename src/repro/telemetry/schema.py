@@ -1,7 +1,7 @@
 """The telemetry JSONL event schema (shared with the run journal).
 
-One JSON object per line; the first line is a ``meta`` header.  Event
-types:
+A :mod:`repro.ledger` file: one JSON object per line, the first a
+``meta`` header.  Event types:
 
 ``meta``
     ``{"type": "meta", "version": 1, "schema": "repro.telemetry/v1"}``
@@ -35,8 +35,9 @@ CI smoke job runs ``python -m repro.telemetry.schema trace.jsonl``.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterator
+
+from ..ledger import Ledger, header
 
 SCHEMA_VERSION = 1
 SCHEMA_NAME = "repro.telemetry/v1"
@@ -74,8 +75,13 @@ class SchemaError(ValueError):
 
 def meta_event() -> dict[str, Any]:
     """The header line every sink writes first."""
-    return {"type": "meta", "version": SCHEMA_VERSION,
-            "schema": SCHEMA_NAME}
+    return header(SCHEMA_NAME, SCHEMA_VERSION)
+
+
+def trace_ledger(path: Any) -> Ledger:
+    """The :mod:`repro.ledger` file of a trace at ``path``."""
+    return Ledger(path, SCHEMA_NAME, SCHEMA_VERSION, validate_event,
+                  SchemaError)
 
 
 def validate_event(obj: Any) -> dict[str, Any]:
@@ -141,20 +147,15 @@ def _validate_task_fields(fields: dict[str, Any], *, where: str) -> None:
 
 
 def read_events(path: Any) -> Iterator[dict[str, Any]]:
-    """Yield validated events from a JSONL trace file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            try:
-                yield validate_event(obj)
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+    """Yield validated events from a JSONL trace file, meta first."""
+    ledger = trace_ledger(path)
+    events = ledger.read()
+    first = next(events, None)   # reading it recognises the header
+    if ledger.header is not None:
+        yield validate_event(ledger.header)
+    if first is not None:
+        yield first
+    yield from events
 
 
 def validate_file(path: Any) -> dict[str, int]:

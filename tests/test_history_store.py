@@ -193,6 +193,19 @@ class TestHistoryStore:
         with pytest.raises(HistoryError, match=r"h\.jsonl:3"):
             HistoryStore.open(db)
 
+    def test_empty_file_gets_a_header_on_first_append(self, tmp_path):
+        # ``touch perf.jsonl``, or a crash between creating the file and
+        # writing its header, leaves a 0-byte database
+        db = tmp_path / "perf.jsonl"
+        db.touch()
+        store = HistoryStore.open(db)
+        assert len(store) == 0
+        store.append(_rec())
+        assert is_history_file(db)
+        again = HistoryStore.open(db)
+        assert len(again) == 1
+        assert again.canonical_export() == store.canonical_export()
+
     def test_canonical_export_is_replay_stable(self, tmp_path):
         def build(path):
             store = HistoryStore.open(path)

@@ -15,6 +15,7 @@ from repro.telemetry import (
     Tracer,
     chrome_trace_events,
     emit_vmpi,
+    read_events,
     validate_event,
     validate_file,
     write_chrome_trace,
@@ -84,6 +85,18 @@ class TestJsonlSink:
         assert json.loads(lines[1])["name"] == "one"
         sink.close()
         assert validate_file(path) == {"meta": 1, "span": 1}
+
+    def test_torn_trace_reads_up_to_the_crash(self, tmp_path):
+        """A run killed mid-write leaves its last line without a
+        newline; every complete event still reads back, meta first."""
+        data = GOLDEN_TRACE.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(data[:last + (len(data) - last) // 2])
+        complete = [json.loads(raw) for raw in data[:last].splitlines()]
+        events = list(read_events(torn))
+        assert events == complete
+        assert events[0]["type"] == "meta" and len(events) > 1
 
 
 class TestVmpiOrdinals:
