@@ -17,13 +17,12 @@ the codebase silently assumes:
   proving that quantities keep their physical dimension (seconds,
   bytes, rates) through the cost model, seeded by ``repro.units``
   constants and the ``DIMS = register_dims(...)`` annotation registry;
-* **protocols** (COMM501..COMM506, ``repro.check.protocol`` +
-  ``rules/comm``) -- every vmpi rank program's communication skeleton
-  is lifted from the AST and replayed at small sizes against an
-  abstract model of the engine's matching semantics: rank-divergent
-  or misordered collectives, wait-for deadlocks (differentially
-  validated against the step engine), tag collisions, inconsistent
-  roots, and orphan endpoints;
+* **protocols** (COMM501..COMM506, ``repro.check.sweep`` +
+  ``rules/comm``) -- every vmpi rank program of the checked tree is
+  imported and run through the step engine at sizes 2-5 with its
+  benchmark's smallest arguments, and the engine's own outcomes are
+  the verdicts: rank-divergent or misordered collectives, wait-for
+  deadlocks, tag collisions, inconsistent roots, and orphan endpoints;
 * **cross-layer** (XLY401..XLY403) -- telemetry event types exist in
   the schema, CLI flags are documented in the README, rule ids are
   registered exactly once.
@@ -43,7 +42,6 @@ from .findings import (
     load_baseline,
     save_baseline,
 )
-from .protocol import ProtocolFinding, analyze_modules, rank_programs
 from .reporters import render_human, render_json, render_sarif
 from .rules import (
     RULE_CLASSES,
@@ -60,14 +58,15 @@ from .sanitizer import (
     installed_graph,
     uninstall,
 )
+from .sweep import CommFinding, SweepReport, rank_programs, sweep_programs
 
 __all__ = [
-    "Analyzer", "Baseline", "BaselineEntry", "CheckReport", "Dim",
-    "DimRegistry", "Finding", "LockGraph", "LockOrderError",
-    "LockOrderWatcher", "ProtocolFinding", "RULE_CLASSES", "Severity",
-    "analyze_modules", "build_registry", "default_rules",
-    "expand_rule_prefixes", "install", "install_from_env",
-    "installed_graph", "load_baseline", "parse_dim", "rank_programs",
-    "render_human", "render_json", "render_sarif", "rule_ids",
-    "runtime_contract_findings", "save_baseline", "uninstall",
+    "Analyzer", "Baseline", "BaselineEntry", "CheckReport", "CommFinding",
+    "Dim", "DimRegistry", "Finding", "LockGraph", "LockOrderError",
+    "LockOrderWatcher", "RULE_CLASSES", "Severity", "SweepReport",
+    "build_registry", "default_rules", "expand_rule_prefixes", "install",
+    "install_from_env", "installed_graph", "load_baseline", "parse_dim",
+    "rank_programs", "render_human", "render_json", "render_sarif",
+    "rule_ids", "runtime_contract_findings", "save_baseline",
+    "sweep_programs", "uninstall",
 ]

@@ -1,41 +1,35 @@
-"""COMM5xx: static MPI-protocol verification of vmpi rank programs.
+"""COMM5xx: MPI-protocol verification of vmpi rank programs.
 
-One project-scoped rule lifts every rank program's communication
-skeleton out of the AST (``repro.check.protocol``) and replays it at
-small concrete sizes against an abstract model of the engine's exact
-matching semantics.  Six rule ids:
+One project-scoped rule hands every module to the sweep
+(``repro.check.sweep``), which imports each rank program and runs it
+through ``VmpiEngine(mode="step")`` at communicator sizes 2-5.  The
+engine is the oracle: its outcomes map onto six rule ids.
 
 * **COMM501** -- a collective sits under rank-dependent control flow
-  with non-covering branches: some ranks post it, some never do (or
-  take a different communication path), so the collective can never
-  complete;
+  with non-covering branches: the engine deadlocks with the collective
+  waiting on members that finished or are blocked elsewhere;
 * **COMM502** -- ranks of one communicator disagree on the *order* of
-  collectives: the same sequence position mixes different kinds;
-* **COMM503** -- a send/recv wait-for cycle in the per-tag channel
-  graph: a genuine deadlock.  Every COMM503 verdict is backed by the
-  differential oracle -- the flagged configuration deadlocks in
-  ``VmpiEngine(mode="step")``;
-* **COMM504** -- two concurrent transfers of one batch share a
+  collectives: the engine reports a collective-kind mismatch;
+* **COMM503** -- a send/recv wait-for cycle: the engine deadlocks and
+  no blocked rank waits on a finished one;
+* **COMM504** -- two transfers of one yielded batch share a
   (communicator, channel, tag): the tag no longer discriminates the
   messages and matching silently falls back to posting order;
-* **COMM505** -- a rooted/reducing collective's root or reduce op is
-  not derivably consistent across ranks (subset-participation
-  mismatch);
-* **COMM506** -- an orphan endpoint: a send nobody receives, a receive
-  whose peer already terminated, or asymmetric exchange counts.
+* **COMM505** -- a rooted/reducing collective's root or reduce op
+  differs across ranks: the engine reports that mismatch;
+* **COMM506** -- an orphan endpoint: a transfer whose peer already
+  finished, or a send still unreceived when every rank returned.
 
-The pass is deliberately quiet at its soundness boundary: programs it
-cannot resolve (rank-dependent branching around communication on
-unproven values, opaque generators, out-of-range peers that would
-crash before communicating) produce *no* findings, and replays that
-had to approximate unknown loop bounds suppress the exact-trace
-verdicts (COMM503/COMM506).  See DESIGN.md §12.
+The pass is deliberately quiet at its boundary: a program that needs
+arguments but has no probe (and no probed caller), and a program that
+raises its own exception -- an argument check, an out-of-range peer --
+produce *no* findings.  See DESIGN.md §12.
 """
 
 from __future__ import annotations
 
 from ..findings import Severity
-from ..protocol import DEFAULT_SIZES, analyze_modules
+from ..sweep import DEFAULT_SIZES, sweep_programs
 from .base import Collector, ModuleInfo, Rule
 
 ID_SEVERITY = {
@@ -71,19 +65,19 @@ ID_DESCRIPTIONS = {
 
 
 class CommProtocolRule(Rule):
-    """COMM501..COMM506: protocol replay over extracted skeletons."""
+    """COMM501..COMM506: engine outcomes of the rank-program sweep."""
 
     id = "COMM501"
     ids = ("COMM502", "COMM503", "COMM504", "COMM505", "COMM506")
     name = "comm-protocol"
     severity = Severity.ERROR
     description = ID_DESCRIPTIONS["COMM501"]
-    #: project scope: verdicts depend on *all* modules (helpers are
-    #: inlined across module boundaries), so per-module caching would
-    #: be unsound -- and cold/warm output is trivially identical
+    #: project scope: verdicts depend on *all* modules (a program runs
+    #: its helpers from other modules), so per-module caching would be
+    #: unsound -- and cold/warm output is trivially identical
     scope = "project"
 
-    #: communicator sizes each program is replayed at
+    #: communicator sizes each program runs at
     sizes = DEFAULT_SIZES
 
     def __init__(self) -> None:
@@ -104,10 +98,10 @@ class CommProtocolRule(Rule):
         self._modules.append(module)
 
     def finalize(self, out: Collector) -> None:
-        modules = sorted(self._modules, key=lambda m: m.relpath)
-        findings = analyze_modules(
-            [(m.relpath, m.tree) for m in modules], sizes=self.sizes)
-        for finding in findings:
+        report = sweep_programs(
+            [(m.relpath, m.path, m.tree) for m in self._modules],
+            sizes=self.sizes)
+        for finding in report.findings:
             if not self.emits(finding.rule_id):
                 continue
             out.add(self, finding.relpath, finding.line,

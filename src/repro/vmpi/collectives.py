@@ -17,12 +17,13 @@ that argument so the event core can cache costs on
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from ..units import register_dims
-from .ops import Collective, Phantom, nbytes_of
+from .ops import Collective, Op, Phantom, nbytes_of
 
 #: dimension annotations consumed by ``repro.check``'s UNIT3xx rules;
 #: the byte argument reduced here feeds the network closed forms, so
@@ -38,12 +39,52 @@ class VmpiError(RuntimeError):
     """Base class for engine errors."""
 
 
+@dataclass(frozen=True)
+class Blocked:
+    """What one rank of a deadlocked run waits in.
+
+    ``op`` is the op the rank is parked in (the element of a batch that
+    blocked).  A collective names its communicator's world ranks
+    (``members``), its sequence position ``seq`` on that communicator
+    and the local ranks that already posted it (``arrived``).  Transfer
+    waits -- send, recv, sendrecv, wait(all), exchange -- list each
+    unmatched transfer as ``(is_send, peer world rank, peer local rank,
+    tag)`` in ``transfers``.
+    """
+
+    op: Op
+    transfers: tuple[tuple[bool, int, int, int], ...] = ()
+    members: tuple[int, ...] = ()
+    seq: int = -1
+    arrived: tuple[int, ...] = ()
+
+
 class DeadlockError(VmpiError):
-    """All unfinished ranks are blocked and nothing can complete."""
+    """All unfinished ranks are blocked and nothing can complete.
+
+    ``blocked`` maps every blocked world rank to its :class:`Blocked`
+    record; ``finished`` holds the world ranks whose programs returned.
+    """
+
+    def __init__(self, message: str,
+                 blocked: dict[int, Blocked] | None = None,
+                 finished: frozenset[int] = frozenset()):
+        super().__init__(message)
+        self.blocked = blocked or {}
+        self.finished = finished
 
 
 class CollectiveMismatchError(VmpiError):
-    """Ranks of one communicator posted different collectives."""
+    """Ranks of one communicator posted different collectives.
+
+    ``pair`` holds the two ``(local rank, op)`` posts that disagree:
+    the lowest posted local rank and the first one that differs from it.
+    """
+
+    def __init__(self, message: str,
+                 pair: tuple[tuple[int, Collective], ...] = ()):
+        super().__init__(message)
+        self.pair = pair
 
 
 class RankFailedError(VmpiError):
@@ -79,33 +120,37 @@ def validate_collective(ops: list[Collective]) -> None:
     pair is deterministic and identical across engine cores.
     """
     first = ops[0]
-    for o in ops[1:]:
+    for local, o in enumerate(ops[1:], 1):
         if (o.kind, o.reduce_op, o.root) != (first.kind, first.reduce_op,
                                              first.root):
             raise CollectiveMismatchError(
-                f"comm members posted {first.kind!r} vs {o.kind!r}")
+                f"comm members posted {first.kind!r} vs {o.kind!r}",
+                pair=((0, first), (local, o)))
 
 
-def partial_mismatch(posted: list[tuple[int, Collective]]) -> str | None:
-    """Mismatch description among a *partially* posted collective.
+def partial_mismatch(posted: list[tuple[int, Collective]],
+                     ) -> CollectiveMismatchError | None:
+    """Mismatch among a *partially* posted collective, if any.
 
     ``posted`` maps local ranks to their ops (any subset of the
-    communicator).  Returns a message when the posted subset already
-    disagrees -- the engine raises it at deadlock time instead of a
-    plain :class:`DeadlockError`, so "half the comm called barrier, the
-    other half allreduce, and a third rank never showed up" is reported
-    as the collective bug it is.  Deterministic: compared in local-rank
-    order.
+    communicator).  Returns the error to raise when the posted subset
+    already disagrees -- the engine raises it at deadlock time instead
+    of a plain :class:`DeadlockError`, so "half the comm called barrier,
+    the other half allreduce, and a third rank never showed up" is
+    reported as the collective bug it is.  Deterministic: compared in
+    local-rank order.
     """
     ordered = sorted(posted)
-    first = ordered[0][1]
+    first_local, first = ordered[0]
     for local, o in ordered[1:]:
         if (o.kind, o.reduce_op, o.root) != (first.kind, first.reduce_op,
                                              first.root):
-            return (f"comm members posted {first.kind!r} "
-                    f"(local rank {ordered[0][0]}) vs {o.kind!r} "
-                    f"(local rank {local}) -- partial post, "
-                    f"{len(posted)} rank(s) arrived")
+            return CollectiveMismatchError(
+                f"comm members posted {first.kind!r} "
+                f"(local rank {first_local}) vs {o.kind!r} "
+                f"(local rank {local}) -- partial post, "
+                f"{len(posted)} rank(s) arrived",
+                pair=((first_local, first), (local, o)))
     return None
 
 

@@ -64,6 +64,7 @@ from typing import Any, Callable, Iterator
 
 from ..cluster.hardware import juwels_booster
 from .collectives import (
+    Blocked,
     CollectiveMismatchError,
     DeadlockError,
     RankFailedError,
@@ -132,8 +133,8 @@ class _WaitGroup:
     requests: tuple[Request, ...]
     blocked_at: float
     single: bool  # resume with one result instead of a list
+    op: Op  # the op the rank waits in (an Exchange is decomposed)
     sendrecv: bool = False  # resume with the received payload only
-    exchange: Exchange | None = None  # decomposed fused exchange
 
 
 def _describe_request(req: Request) -> str:
@@ -372,18 +373,19 @@ class VmpiEngine:
             return True
         if kind is Send:
             req = self._post_send(r, op.dest, op.payload, op.tag, op.comm_id)
-            return self._wait_on(r, (req,), single=True)
+            return self._wait_on(r, op, (req,), single=True)
         if kind is Recv:
             req = self._post_recv(r, op.source, op.tag, op.comm_id)
-            return self._wait_on(r, (req,), single=True)
+            return self._wait_on(r, op, (req,), single=True)
         if kind is Sendrecv:
             sreq = self._post_send(r, op.dest, op.payload, op.tag, op.comm_id)
             rreq = self._post_recv(r, op.source, op.tag, op.comm_id)
-            return self._wait_on(r, (sreq, rreq), single=False, sendrecv=True)
+            return self._wait_on(r, op, (sreq, rreq), single=False,
+                                 sendrecv=True)
         if kind is Wait:
-            return self._wait_on(r, (op.request,), single=True)
+            return self._wait_on(r, op, (op.request,), single=True)
         if kind is Waitall:
-            return self._wait_on(r, op.requests, single=False)
+            return self._wait_on(r, op, op.requests, single=False)
         if kind is Collective:
             return self._post_collective(r, op)
         if kind is Exchange:
@@ -453,17 +455,16 @@ class VmpiEngine:
 
     # -- waiting ------------------------------------------------------------------
 
-    def _wait_on(self, r: int, requests: tuple[Request, ...], *,
-                 single: bool, sendrecv: bool = False,
-                 exchange: Exchange | None = None) -> bool:
+    def _wait_on(self, r: int, op: Op, requests: tuple[Request, ...], *,
+                 single: bool, sendrecv: bool = False) -> bool:
         for req in requests:
             if req.rank != r:
                 raise VmpiError(
                     f"rank {r} waiting on request posted by rank {req.rank}")
         group = _WaitGroup(rank=r, requests=requests,
                            blocked_at=self.clocks[r],
-                           single=single and not sendrecv,
-                           sendrecv=sendrecv, exchange=exchange)
+                           single=single and not sendrecv, op=op,
+                           sendrecv=sendrecv)
         if all(req.done for req in requests):
             self._finish_group(group)
             return True
@@ -487,9 +488,9 @@ class VmpiEngine:
         done = max((req.complete_time for req in reqs), default=self.clocks[r])
         waited = max(0.0, done - self.clocks[r])
         self.clocks[r] = max(self.clocks[r], done)
-        if group.exchange is not None:
-            self.traces[r].comm[group.exchange.label] += waited
-            nsends = len(group.exchange.sends)
+        if type(group.op) is Exchange:
+            self.traces[r].comm[group.op.label] += waited
+            nsends = len(group.op.sends)
             self._resume[r] = [req.result for req in reqs[nsends:]]
             return
         self.traces[r].comm["p2p"] += waited
@@ -527,7 +528,7 @@ class VmpiEngine:
             reqs.append(self._post_edge(r, True, dest_local, payload, ekey))
         for src_local in op.recvs:
             reqs.append(self._post_edge(r, False, src_local, None, ekey))
-        return self._wait_on(r, tuple(reqs), single=False, exchange=op)
+        return self._wait_on(r, op, tuple(reqs), single=False)
 
     def _post_edge(self, r: int, is_send: bool, peer_local: int,
                    payload: Any, ekey: tuple[int, int, int]) -> Request:
@@ -637,8 +638,8 @@ class VmpiEngine:
         if isinstance(marker, _WaitGroup):
             pending = [_describe_request(q) for q in marker.requests
                        if not q.done]
-            if marker.exchange is not None:
-                return (f"exchange on comm {marker.exchange.comm_id} -- "
+            if type(marker.op) is Exchange:
+                return (f"exchange on comm {marker.op.comm_id} -- "
                         f"{len(pending)} transfer(s) pending: "
                         + ", ".join(pending))
             return (f"waiting on {len(marker.requests)} request(s); "
@@ -659,13 +660,32 @@ class VmpiEngine:
         for key in sorted(self._coll_pending):
             posted = [(local, op) for local, (op, _)
                       in self._coll_pending[key].items()]
-            msg = partial_mismatch(posted)
-            if msg:
-                raise CollectiveMismatchError(msg)
+            mismatch = partial_mismatch(posted)
+            if mismatch:
+                raise mismatch
         stuck = {r: self._blocked_detail(r)
                  for r in range(self.machine.nranks) if not self._finished[r]}
         detail = "; ".join(f"rank {r}: {d}" for r, d in stuck.items())
-        raise DeadlockError(f"deadlock -- blocked ranks: {detail}")
+        blocked = {r: record for r in stuck
+                   if (record := self._blocked_record(r)) is not None}
+        finished = frozenset(r for r, done in enumerate(self._finished)
+                             if done)
+        raise DeadlockError(f"deadlock -- blocked ranks: {detail}",
+                            blocked=blocked, finished=finished)
+
+    def _blocked_record(self, r: int) -> Blocked | None:
+        """The structured twin of :meth:`_blocked_detail`."""
+        marker = self._blocked.get(r)
+        if marker is None:
+            return None
+        if isinstance(marker, _WaitGroup):
+            return Blocked(op=marker.op, transfers=tuple(
+                (q.is_send, q.peer, self._local_of(q.comm_id, q.peer),
+                 q.tag)
+                for q in marker.requests if not q.done))
+        op, key = marker
+        return Blocked(op=op, members=self._comms[op.comm_id], seq=key[1],
+                       arrived=tuple(sorted(self._coll_pending[key])))
 
 
 class StepEngine(VmpiEngine):

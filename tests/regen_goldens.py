@@ -162,10 +162,11 @@ def regenerate_comm_goldens() -> dict[str, Path]:
     """COMM5xx snapshots over the broken-rank-program fixtures.
 
     The fixture tree is analyzed with only the COMM family enabled, so
-    the goldens isolate the protocol verdicts (including their
-    inference traces).  The same fixtures feed the differential suite
-    (``tests/test_check_comm_differential.py``), which replays them
-    through the step engine.
+    the goldens isolate the verdicts of the rank-program sweep
+    (``repro.check.sweep_programs``, reached through the COMM rule)
+    including their traces.  The same fixtures feed the differential
+    suite (``tests/test_check_comm_differential.py``), which reruns the
+    flagged configurations through plain ``run_spmd``.
     """
     from repro.check import Analyzer, render_json, render_sarif
     from repro.check.rules import expand_rule_prefixes

@@ -1,8 +1,10 @@
-"""COMM5xx protocol-verification tests: extraction, replay verdicts,
-goldens, filtering, and the clean-at-HEAD acceptance criterion."""
+"""COMM5xx protocol-verification tests: discovery, sweep verdicts,
+goldens, filtering, and the clean-at-HEAD acceptance criterion.
+
+Every verdict test writes its program under ``tmp_path`` and runs it
+through the sweep, i.e. through the step engine at sizes 2-5."""
 
 import ast
-import inspect
 import json
 import textwrap
 from pathlib import Path
@@ -11,18 +13,15 @@ import pytest
 
 from repro.check import (
     Analyzer,
-    analyze_modules,
     load_baseline,
     rank_programs,
     render_json,
     render_sarif,
+    sweep_programs,
 )
-from repro.check.protocol import DEFAULT_SIZES, EAGER_LIMIT
 from repro.check.rules import expand_rule_prefixes, rule_ids
 from repro.check.rules.comm import ID_DESCRIPTIONS, ID_SEVERITY
-from repro.vmpi.comm import Comm
-from repro.vmpi.engine import VmpiEngine
-from repro.vmpi.ops import COMM_METHODS
+from repro.check.sweep import DEFAULT_SIZES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "comm"
@@ -31,31 +30,20 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 COMM_IDS = tuple(sorted(ID_SEVERITY))
 
 
-def analyze_source(source: str, relpath: str = "prog.py",
-                   sizes=DEFAULT_SIZES):
-    tree = ast.parse(textwrap.dedent(source))
-    return analyze_modules([(relpath, tree)], sizes=sizes)
+@pytest.fixture
+def analyze_source(tmp_path):
+    """Write ``source`` to ``prog.py`` under tmp_path and sweep it."""
+
+    def analyze(source: str, sizes=DEFAULT_SIZES):
+        path = tmp_path / "prog.py"
+        path.write_text(textwrap.dedent(source))
+        modules = [("prog.py", path, ast.parse(path.read_text()))]
+        return sweep_programs(modules, sizes=sizes).findings
+
+    return analyze
 
 
 # -- model/engine contracts --------------------------------------------------
-
-def test_comm_methods_match_facade_signatures():
-    """The introspection table the static pass binds against must
-    mirror the real Comm facade, parameter for parameter."""
-    for name, spec in COMM_METHODS.items():
-        method = getattr(Comm, name)
-        sig = inspect.signature(method)
-        params = [p for p in sig.parameters.values()
-                  if p.name != "self"]
-        assert tuple(p.name for p in params) == spec["params"], name
-        defaults = {p.name: p.default for p in params
-                    if p.default is not inspect.Parameter.empty}
-        assert defaults == spec["defaults"], name
-
-
-def test_eager_limit_mirrors_engine():
-    assert EAGER_LIMIT == VmpiEngine.EAGER_LIMIT
-
 
 def test_comm_ids_registered():
     ids = rule_ids()
@@ -84,9 +72,9 @@ def test_rank_program_detection():
     assert names == ["prog", "annotated"]
 
 
-def test_skeleton_follows_yield_from_helpers():
+def test_skeleton_follows_yield_from_helpers(analyze_source):
     # the helper's parameter is not named ``comm``, so it is not a
-    # standalone rank program -- only the inlined call sees the bug
+    # standalone rank program -- only running its caller sees the bug
     findings = analyze_source("""
         def half_barrier(c):
             if c.rank == 0:
@@ -102,9 +90,9 @@ def test_skeleton_follows_yield_from_helpers():
     assert findings[0].program == "prog"
 
 
-def test_unresolvable_programs_stay_quiet():
-    # communication under a rank-dependent unproven branch is beyond
-    # the model: no findings, no crashes (exchange results are opaque)
+def test_unresolvable_programs_stay_quiet(analyze_source):
+    # communication under a branch on received data: the engine moves
+    # the real payloads, every rank takes the branch, nothing to report
     findings = analyze_source("""
         def prog(comm):
             right = (comm.rank + 1) % comm.size
@@ -117,7 +105,7 @@ def test_unresolvable_programs_stay_quiet():
     assert findings == []
 
 
-def test_out_of_range_peer_is_not_a_protocol_bug():
+def test_out_of_range_peer_is_not_a_protocol_bug(analyze_source):
     # xor partners fall outside the communicator at non-power-of-two
     # sizes; the facade raises at construction (a crash, not a
     # deadlock), so the pass must not report it
@@ -132,7 +120,7 @@ def test_out_of_range_peer_is_not_a_protocol_bug():
 
 # -- verdicts ----------------------------------------------------------------
 
-def test_comm501_divergent_collective():
+def test_comm501_divergent_collective(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             if comm.rank < comm.size - 1:
@@ -142,7 +130,7 @@ def test_comm501_divergent_collective():
     assert findings[0].nranks == 2
 
 
-def test_comm502_order_mismatch():
+def test_comm502_order_mismatch(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             if comm.rank == 0:
@@ -155,7 +143,7 @@ def test_comm502_order_mismatch():
     assert [f.rule_id for f in findings] == ["COMM502"]
 
 
-def test_comm503_recv_cycle():
+def test_comm503_recv_cycle(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             left = (comm.rank - 1) % comm.size
@@ -167,8 +155,9 @@ def test_comm503_recv_cycle():
     assert any("wait-for cycle" in f.message for f in findings)
 
 
-def test_comm503_rendezvous_head_to_head():
-    # proven-large payloads block; symmetric sends deadlock
+def test_comm503_rendezvous_head_to_head(analyze_source):
+    # payloads over the engine's eager limit rendezvous; symmetric
+    # sends deadlock
     findings = analyze_source("""
         from repro.vmpi import Phantom
 
@@ -180,7 +169,7 @@ def test_comm503_rendezvous_head_to_head():
     assert [f.rule_id for f in findings] == ["COMM503"]
 
 
-def test_eager_sends_do_not_deadlock():
+def test_eager_sends_do_not_deadlock(analyze_source):
     # same shape, small payload: eager completes locally, no deadlock
     findings = analyze_source("""
         def prog(comm):
@@ -191,7 +180,7 @@ def test_eager_sends_do_not_deadlock():
     assert findings == []
 
 
-def test_comm504_tag_collision_in_batch():
+def test_comm504_tag_collision_in_batch(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             right = (comm.rank + 1) % comm.size
@@ -206,7 +195,7 @@ def test_comm504_tag_collision_in_batch():
     assert all(f.rule_id == "COMM504" for f in findings)
 
 
-def test_comm505_rank_dependent_root():
+def test_comm505_rank_dependent_root(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             yield comm.reduce(1.0, root=comm.rank % 2)
@@ -214,7 +203,7 @@ def test_comm505_rank_dependent_root():
     assert [f.rule_id for f in findings] == ["COMM505"]
 
 
-def test_comm506_orphan_recv():
+def test_comm506_orphan_recv(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             if comm.rank == 0:
@@ -223,7 +212,7 @@ def test_comm506_orphan_recv():
     assert [f.rule_id for f in findings] == ["COMM506"]
 
 
-def test_comm506_orphan_send():
+def test_comm506_orphan_send(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             if comm.rank == 0:
@@ -233,7 +222,7 @@ def test_comm506_orphan_send():
     assert [f.rule_id for f in findings] == ["COMM506"]
 
 
-def test_clean_ring_is_quiet():
+def test_clean_ring_is_quiet(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             right = (comm.rank + 1) % comm.size
@@ -245,7 +234,7 @@ def test_clean_ring_is_quiet():
     assert findings == []
 
 
-def test_split_collectives_are_tracked():
+def test_split_collectives_are_tracked(analyze_source):
     # divergence *within* a derived communicator is still caught:
     # at size 4 the even subgroup is {0, 2} but only rank 0 posts
     findings = analyze_source("""
@@ -257,7 +246,7 @@ def test_split_collectives_are_tracked():
     assert [f.rule_id for f in findings] == ["COMM501"]
 
 
-def test_split_clean_subgroups():
+def test_split_clean_subgroups(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             sub = yield comm.split(comm.rank % 2)
@@ -267,20 +256,30 @@ def test_split_clean_subgroups():
     assert findings == []
 
 
-def test_approximate_replays_suppress_exact_verdicts():
-    # unknown loop bounds poison exact traces: COMM503/COMM506 are
-    # suppressed, collective-alignment verdicts are not
+def test_unprobed_programs_stay_quiet(analyze_source):
+    # a program that needs arguments runs only with a probe (or from a
+    # probed caller); without one the sweep does not guess and stays
+    # quiet, however buggy the program is
     findings = analyze_source("""
         def prog(comm, rounds):
-            for _ in range(rounds):
-                yield comm.send(0, 1.0, tag=1)
             if comm.rank == 0:
                 yield comm.barrier()
     """)
-    assert [f.rule_id for f in findings] == ["COMM501"]
+    assert findings == []
 
 
-def test_findings_carry_program_provenance():
+def test_own_exception_stays_quiet(analyze_source):
+    # a program's own argument check is not a protocol bug
+    findings = analyze_source("""
+        def prog(comm):
+            if comm.size % 2:
+                raise ValueError("needs an even rank count")
+            yield comm.recv((comm.rank + 1) % comm.size)
+    """, sizes=(3,))
+    assert findings == []
+
+
+def test_findings_carry_program_provenance(analyze_source):
     findings = analyze_source("""
         def prog(comm):
             if comm.rank == 0:

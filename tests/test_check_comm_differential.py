@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.protocol import analyze_modules
+from repro.check import sweep_programs
 from repro.cluster import juwels_booster
 from repro.synthetic.linktest import bisection_program
 from repro.units import MIB
@@ -36,9 +36,9 @@ def _load_module(path: Path):
 
 
 def _fixture_findings():
-    modules = [(p.name, ast.parse(p.read_text()))
+    modules = [(p.name, p, ast.parse(p.read_text()))
                for p in sorted(FIXTURES.glob("*.py"))]
-    return analyze_modules(modules)
+    return sweep_programs(modules).findings
 
 
 FINDINGS = _fixture_findings()

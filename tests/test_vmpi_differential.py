@@ -408,3 +408,55 @@ class TestErrorPathsBothModes:
 
         with pytest.raises(VmpiError):
             run_spmd(prog, machine=machine(3), mode=mode)
+
+
+def _err_p2p_cycle(comm):
+    yield comm.recv((comm.rank + 1) % comm.size)
+
+
+def _err_exchange_orphan(comm):
+    if comm.rank == 0:
+        yield comm.exchange(((1, "x"),), (1,))
+
+
+def _err_partial_barrier(comm):
+    if comm.rank == 0:
+        yield comm.barrier()
+
+
+def _err_full_mismatch(comm):
+    if comm.rank == 0:
+        yield comm.barrier()
+    else:
+        yield comm.allreduce(1)
+
+
+def _err_partial_mismatch(comm):
+    if comm.rank == 0:
+        yield comm.barrier()
+    elif comm.rank == 1:
+        yield comm.allreduce(1)
+
+
+ERROR_CORPUS = [
+    (_err_p2p_cycle, 2), (_err_exchange_orphan, 2),
+    (_err_partial_barrier, 3), (_err_full_mismatch, 2),
+    (_err_partial_mismatch, 3),
+]
+
+
+@pytest.mark.parametrize("program,nranks", ERROR_CORPUS,
+                         ids=[p.__name__ for p, _ in ERROR_CORPUS])
+def test_error_fields_identical_across_cores(program, nranks):
+    """The structured fields COMM5xx classification reads are the same
+    whichever core raised them."""
+    fields = []
+    for mode in MODES:
+        with pytest.raises((DeadlockError, CollectiveMismatchError)) as err:
+            run_spmd(program, machine=machine(nranks), mode=mode)
+        exc = err.value
+        fields.append((type(exc), str(exc), getattr(exc, "blocked", None),
+                       getattr(exc, "finished", None),
+                       getattr(exc, "pair", None)))
+    assert fields[0] == fields[1]
+    assert fields[0][2] or fields[0][4]

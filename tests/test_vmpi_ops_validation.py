@@ -1,6 +1,6 @@
 """Op-construction contracts: tags and roots are validated when the
-descriptor is built, not deep inside the engine's matching tables --
-the contract the static protocol pass folds against."""
+descriptor is built, not deep inside the engine's matching tables, so
+a bad tag or root fails at the line that built the op."""
 
 import pytest
 
