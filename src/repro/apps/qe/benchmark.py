@@ -81,7 +81,7 @@ def qe_timing_program(comm, mesh: tuple[int, int, int], bands: int,
     points = float(nz * ny * nx)
     points_local = points / comm.size
     transpose_bytes = points_local * 16.0  # complex128 slab per transpose
-    # Constant ops, hoisted out of the step loop and fused into batches;
+    # Ops fused into batches, so each band block resumes the rank once;
     # the uniform-Phantom alltoall states the per-pair volume directly.
     transpose = comm.alltoall(Phantom(16 * transpose_bytes / comm.size),
                               label="fft-transpose")

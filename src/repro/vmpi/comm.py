@@ -143,8 +143,8 @@ class Comm:
         ``sends`` yields ``(dest, payload)`` pairs, ``recvs`` the source
         ranks; the op resumes with the received payloads in ``recvs``
         order.  Equivalent to posting the isends/irecvs and a waitall,
-        but as one descriptor -- halo loops hoist it out of the stepping
-        loop so the engine can replay a cached exchange plan.
+        but as one descriptor -- the engine reuses a plan for rounds of
+        the same shape, so halo loops build a fresh one every step.
         """
         out = tuple((int(d), p) for d, p in sends)
         srcs = tuple(int(s) for s in recvs)

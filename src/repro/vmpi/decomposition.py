@@ -173,10 +173,8 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
 
     Returns ``(op, keys)``: the exchange op and the ``(dim, direction)``
     key of each received payload, aligned with the op's result order.
-    Both are constants of the decomposition, so stencil codes hoist them
-    out of the time loop (persistent-request style) and yield the same
-    op every step -- the event core then reuses one cached round plan
-    for the whole run.
+    The engine reuses a plan for rounds of the same shape, so a stencil
+    code that builds this op every step pairs its edges once per run.
 
     Edge pairing relies on every member building its op through this
     function: sends are emitted in sorted face order, receives in
@@ -214,8 +212,7 @@ def halo_exchange(comm: Comm, cart: CartGrid, faces: dict[tuple[int, int], Any],
     our ``d``-side boundary.  All faces travel in one fused
     :class:`~repro.vmpi.ops.Exchange`, exactly like the production
     stencil codes' neighbourhood collectives.  Use as
-    ``recv = yield from halo_exchange(...)``.  Codes that exchange every
-    step should hoist :func:`halo_exchange_op` instead.
+    ``recv = yield from halo_exchange(...)``.
     """
     op, keys = halo_exchange_op(comm, cart, faces, tag=tag_base)
     if not op.sends and not op.recvs:

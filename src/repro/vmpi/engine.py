@@ -46,10 +46,9 @@ Semantics (documented divergences from real MPI):
 * Collectives are synchronising: completion is ``max(post times) +
   model cost``; all ranks leave with the same clock.
 * A rank may yield a *tuple* of ops (a batch): the ops run in order
-  and the rank resumes once with the list of their results.  Timing
-  programs hoist constant batches out of their stepping loops, which
-  both removes per-step op construction and lets the event core replay
-  cached exchange plans.
+  and the rank resumes once with the list of their results.  The
+  event core reuses an exchange plan for rounds of the same shape, so
+  programs build their ops where they use them.
 * Scheduling is deterministic in both cores, so runs are exactly
   reproducible -- a suite requirement (replicability, Sec. II-A).
 """
@@ -142,15 +141,16 @@ def _describe_request(req: Request) -> str:
     return f"{what} rank {req.peer} (comm {req.comm_id}, tag {req.tag})"
 
 
-def _exchange_bytes(op: Exchange) -> float:
-    """Total send bytes of an exchange (left fold, cached on the op)."""
-    total = op.__dict__.get("_nbytes_total")
-    if total is None:
-        total = 0.0
-        for _, payload in op.sends:
-            total = total + nbytes_of(payload)
-        object.__setattr__(op, "_nbytes_total", total)
-    return total
+def _exchange_sizes(op: Exchange) -> tuple[float, tuple]:
+    """Total send bytes of an exchange (left fold) and the
+    ``(dest, nbytes)`` of each send, in one pass over ``op.sends``."""
+    total = 0.0
+    sizes = []
+    for dest, payload in op.sends:
+        n = nbytes_of(payload)
+        total = total + n
+        sizes.append((dest, n))
+    return total, tuple(sizes)
 
 
 class VmpiEngine:
@@ -511,7 +511,7 @@ class VmpiEngine:
         ekey = (op.comm_id, op.tag)
         rnd = self._xseq[ekey + (r,)]
         self._xseq[ekey + (r,)] = rnd + 1
-        self.traces[r].bytes_sent += _exchange_bytes(op)
+        self.traces[r].bytes_sent += _exchange_sizes(op)[0]
         return self._decompose_exchange(r, op, ekey + (rnd,))
 
     def _decompose_exchange(self, r: int, op: Exchange,

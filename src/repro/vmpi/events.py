@@ -10,9 +10,7 @@ way a discrete-event simulator does:
   execution sweeps virtual time in causal order instead of polling a
   FIFO of ranks;
 * **cost caches** -- point-to-point alpha-beta parameters are cached
-  per node pair, roofline compute times per ``(device, kernel)`` (and,
-  on homogeneous jobs, pinned on the op object itself, so hoisted
-  constant kernels replay their time without any dict-key packing), and
+  per node pair, roofline compute times per ``(device, kernel)``, and
   collective costs per ``(comm, kind, bytes)``, so the machine model is
   consulted once per distinct question instead of once per op;
 * **vectorized exchange rounds** -- fused
@@ -20,8 +18,11 @@ way a discrete-event simulator does:
   ``(comm, tag, round)`` and, once every member has posted, the whole
   round's clock advance is computed with closed-form alpha-beta algebra
   over NumPy arrays (one ``max``/``where`` sweep over all edges) rather
-  than per-edge request machinery.  Hoisted constant exchanges reuse a
-  cached per-round *plan* (edge arrays, transfer times, result lists).
+  than per-edge request machinery.  The engine reuses a plan (edge
+  arrays, transfer times, payload routes) for rounds of the same
+  *shape* -- every member's receives, label and per-send
+  ``(dest, nbytes)`` -- so a halo loop that builds a fresh op every
+  step pairs its edges once per run.
 
 Heap invariants (the discrete-event contract):
 
@@ -44,45 +45,42 @@ so partial participation behaves exactly as in the step core.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop
-from operator import is_
 
 import numpy as np
 
-from .engine import VmpiEngine, _exchange_bytes
+from .engine import VmpiEngine, _exchange_sizes
 from .collectives import VmpiError, collective_arg_bytes, collective_cost
 from .heap import EventHeap
 from .machine import Machine
-from .ops import Collective, Compute, Exchange, nbytes_of
+from .ops import Collective, Compute, Exchange
 
 __all__ = ["EventEngine", "EventHeap"]
-
-#: engine-unique attribute names for op-pinned compute times; a fresh
-#: name per engine (never reused) means an op hoisted across engines or
-#: machines can never serve a time priced for a different device
-_CACHE_KEYS = itertools.count()
-
 
 @dataclass
 class _XchgPlan:
     """Precomputed completion algebra of one exchange round.
 
-    Valid as long as every member posts the *same op objects* (hoisted
-    constants); ``op_ids`` pins them.  Edge arrays are indexed by
-    position in the communicator's member tuple.
+    Valid for every round whose ``shape`` -- per member ``(recvs,
+    label, ((dest, nbytes), ...))`` -- equals the one it was built
+    from: the shape fixes the pairing, transfer times, eager bits and
+    labels.  Payloads are not part of it; ``routes`` says where each
+    received payload comes from, so results are filled from the ops
+    actually posted.  Edge arrays are indexed by position in the
+    communicator's member tuple.
     """
 
-    op_ids: tuple[Exchange, ...]
+    shape: tuple
     nedges: int
     src_idx: np.ndarray     # member index of each edge's sender
     dst_idx: np.ndarray     # member index of each edge's receiver
     t: np.ndarray           # per-edge transfer seconds (alpha + n/beta)
     eager: np.ndarray       # per-edge bool: send completes locally
     labels: tuple[str, ...]  # per-member comm-trace label
-    results: tuple[list, ...]  # per-member received payloads, recvs order
+    #: per member, recvs order: (sender member, send index) of each slot
+    routes: list[list[tuple[int, int]]]
     contig: bool            # members are exactly ranks 0..n-1
 
 
@@ -97,19 +95,18 @@ class EventEngine(VmpiEngine):
         self._heap = EventHeap()
         self._node = machine.nodes_of_rank
         self._devkey = [id(d) for d in machine.devices]
-        #: homogeneous jobs may pin compute times on the op itself
-        self._homog = len(set(self._devkey)) == 1
-        self._ck = f"_evdt{next(_CACHE_KEYS)}"
         self._p2p_cache: dict[tuple[int, int], tuple[float, float]] = {}
         self._compute_cache: dict[tuple, float] = {}
         self._cost_cache: dict[tuple, float] = {}
         self._locals: dict[int, dict[int, int]] = {
             0: {g: g for g in self._comms[0]}}
         self._node_sets: dict[int, tuple[int, ...]] = {}
-        #: (comm, tag) -> [next round per rank, {round: {rank: op}},
-        #: members] -- the buffered-round state of the vectorized path
+        #: (comm, tag) -> [next round per rank, {round: {rank: (op,
+        #: shape)}}, members] -- the buffered-round state of the
+        #: vectorized path
         self._xst: dict[tuple[int, int], list] = {}
-        #: (comm, tag) -> cached round plan
+        #: (comm, tag) -> plan of the last round, reused while the shape
+        #: repeats
         self._xplans: dict[tuple[int, int], _XchgPlan] = {}
 
     # -- scheduling -----------------------------------------------------------
@@ -144,7 +141,7 @@ class EventEngine(VmpiEngine):
         stalled.sort(key=lambda e: e[0])
         for key, pend in stalled:
             for r in sorted(pend):
-                if self._decompose_exchange(r, pend[r], key):
+                if self._decompose_exchange(r, pend[r][0], key):
                     self._wake(r)
         return True
 
@@ -204,17 +201,13 @@ class EventEngine(VmpiEngine):
 
     # -- hot-path dispatch -----------------------------------------------------
     # These overrides change no semantics: they produce the identical
-    # floats through per-op caches (first use goes through the shared
+    # floats through the cost caches (first use goes through the shared
     # machinery, later uses replay the stored value bit for bit).
 
     def _compute_inline(self, r: int, op: Compute) -> None:
-        """Advance a rank through one Compute, op-pinned time first."""
-        dt = op.__dict__.get(self._ck)
-        if dt is None:
-            dt = self._compute_seconds(r, op.flops, op.bytes_moved,
-                                       op.efficiency)
-            if self._homog:
-                object.__setattr__(op, self._ck, dt)
+        """Advance a rank through one Compute."""
+        dt = self._compute_seconds(r, op.flops, op.bytes_moved,
+                                   op.efficiency)
         trace = self.traces[r]
         trace.ops += 1
         self.clocks[r] += dt
@@ -239,7 +232,6 @@ class EventEngine(VmpiEngine):
             batch[3] = False
         n = len(ops)
         i = batch[1]
-        ck = self._ck
         clocks = self.clocks
         trace = self.traces[r]
         compute = trace.compute
@@ -250,12 +242,8 @@ class EventEngine(VmpiEngine):
             if kind is Compute:
                 # Inlined _compute_inline: completed Computes leave no
                 # resume value, so the pre-filled None already stands.
-                dt = op.__dict__.get(ck)
-                if dt is None:
-                    dt = self._compute_seconds(r, op.flops, op.bytes_moved,
-                                               op.efficiency)
-                    if self._homog:
-                        object.__setattr__(op, ck, dt)
+                dt = self._compute_seconds(r, op.flops, op.bytes_moved,
+                                           op.efficiency)
                 trace.ops += 1
                 clocks[r] += dt
                 compute[op.label] += dt
@@ -294,15 +282,13 @@ class EventEngine(VmpiEngine):
         seq, rounds, members, nmem = st
         rnd = seq[r]
         seq[r] = rnd + 1
-        nb = op.__dict__.get("_nbytes_total")
-        if nb is None:
-            nb = _exchange_bytes(op)
-        self.traces[r].bytes_sent += nb
+        total, sizes = _exchange_sizes(op)
+        self.traces[r].bytes_sent += total
         try:
             pend = rounds[rnd]
         except KeyError:
             pend = rounds[rnd] = {}
-        pend[r] = op
+        pend[r] = (op, (op.recvs, op.label, sizes))
         if len(pend) == nmem:
             del rounds[rnd]
             return self._finish_round(members, sk + (rnd,), pend, caller=r)
@@ -312,7 +298,7 @@ class EventEngine(VmpiEngine):
 
     def _finish_round(self, members: tuple[int, ...],
                       key: tuple[int, int, int],
-                      pend: dict[int, Exchange], caller: int) -> bool:
+                      pend: dict[int, tuple], caller: int) -> bool:
         """Complete a fully-posted round; True if the caller finished."""
         plan = self._round_plan(key, members, pend)
         if plan is None:
@@ -320,7 +306,7 @@ class EventEngine(VmpiEngine):
             # onto the generic machinery, which completes what matches.
             caller_done = False
             for r in sorted(pend):
-                if self._decompose_exchange(r, pend[r], key):
+                if self._decompose_exchange(r, pend[r][0], key):
                     if r == caller:
                         caller_done = True
                     else:
@@ -349,9 +335,11 @@ class EventEngine(VmpiEngine):
         resume = self._resume
         batches = self._batch
         labels = plan.labels
-        results = plan.results
+        routes = plan.routes
+        sends = [pend[g][0].sends for g in members]
         push = self._heap.push
         for i, g in enumerate(members):
+            res = [sends[s][k][1] for s, k in routes[i]]
             d = done_list[i]
             clocks[g] = d
             traces[g].comm[labels[i]] += waited_list[i]
@@ -361,25 +349,25 @@ class EventEngine(VmpiEngine):
                 # resumes straight into its generator.
                 b = batches.get(g)
                 if b is not None and b[3] and b[1] == len(b[0]):
-                    b[2][b[1] - 1] = list(results[i])
+                    b[2][b[1] - 1] = res
                     del batches[g]
                     resume[g] = b[2]
                 else:
-                    resume[g] = list(results[i])
+                    resume[g] = res
                 push(d, g)
             else:
-                resume[g] = list(results[i])
+                resume[g] = res
         return True
 
     def _round_plan(self, key: tuple[int, int, int],
                     members: tuple[int, ...],
-                    pend: dict[int, Exchange]) -> _XchgPlan | None:
+                    pend: dict[int, tuple]) -> _XchgPlan | None:
         pkey = key[:2]
+        shape = tuple([pend[g][1] for g in members])
         cached = self._xplans.get(pkey)
-        if cached is not None and \
-                all(map(is_, map(pend.__getitem__, members), cached.op_ids)):
+        if cached is not None and cached.shape == shape:
             return cached
-        plan = self._build_plan(members, pend)
+        plan = self._build_plan(members, shape)
         if plan is not None:
             self._xplans[pkey] = plan
         else:
@@ -387,7 +375,7 @@ class EventEngine(VmpiEngine):
         return plan
 
     def _build_plan(self, members: tuple[int, ...],
-                    pend: dict[int, Exchange]) -> _XchgPlan | None:
+                    shape: tuple) -> _XchgPlan | None:
         """Pair every edge of a round; None if the structure is unpaired.
 
         Pairing replicates per-edge FIFO order: the k-th send of a round
@@ -395,12 +383,12 @@ class EventEngine(VmpiEngine):
         """
         sends_at: dict[tuple[int, int], list] = defaultdict(list)
         recv_slots: dict[tuple[int, int], list] = defaultdict(list)
-        results = tuple([None] * len(pend[g].recvs) for g in members)
+        routes = [[None] * len(recvs) for recvs, _, _ in shape]
         for i, g in enumerate(members):
-            op = pend[g]
-            for dest_local, payload in op.sends:
-                sends_at[(g, members[dest_local])].append((i, payload))
-            for slot, src_local in enumerate(op.recvs):
+            recvs, _label, sizes = shape[i]
+            for k, (dest_local, n) in enumerate(sizes):
+                sends_at[(g, members[dest_local])].append((i, k, n))
+            for slot, src_local in enumerate(recvs):
                 recv_slots[(members[src_local], g)].append((i, slot))
         if len(sends_at) != len(recv_slots):
             return None
@@ -413,22 +401,21 @@ class EventEngine(VmpiEngine):
             if recvs is None or len(recvs) != len(sends):
                 return None
             s_g, d_g = edge
-            for (si, payload), (ri, slot) in zip(sends, recvs):
-                n = nbytes_of(payload)
+            for (si, k, n), (ri, slot) in zip(sends, recvs):
                 src_idx.append(si)
                 dst_idx.append(ri)
                 times.append(self._p2p_seconds(s_g, d_g, n))
                 eager.append(n <= self.eager_limit)
-                results[ri][slot] = payload
+                routes[ri][slot] = (si, k)
         return _XchgPlan(
-            op_ids=tuple(pend[g] for g in members),
+            shape=shape,
             nedges=len(times),
             src_idx=np.array(src_idx, dtype=np.intp),
             dst_idx=np.array(dst_idx, dtype=np.intp),
             t=np.array(times, dtype=np.float64),
             eager=np.array(eager, dtype=bool),
-            labels=tuple(pend[g].label for g in members),
-            results=results,
+            labels=tuple(label for _, label, _ in shape),
+            routes=routes,
             contig=members[0] == 0 and members[-1] == len(members) - 1,
         )
 

@@ -223,8 +223,8 @@ class Exchange(Op):
     not match point-to-point traffic).
 
     Halo patterns yield one ``Exchange`` per step instead of one op per
-    face; timing programs hoist the constant op out of the step loop,
-    which lets the event engine reuse a vectorized per-round plan.
+    face; the event engine reuses a vectorized plan for rounds of the
+    same shape (receives, label and per-send ``(dest, nbytes)``).
     """
 
     sends: tuple[tuple[int, Any], ...]

@@ -143,7 +143,7 @@ class TestDistributedFft:
         try:
             op = gen.send(None)
             while True:
-                # hoisted batches arrive as tuples of ops
+                # batches arrive as tuples of ops
                 ops.extend(op) if isinstance(op, tuple) else ops.append(op)
                 op = gen.send(None if not isinstance(op, tuple)
                               else [None] * len(op))

@@ -30,6 +30,7 @@ from repro.vmpi import (
 )
 from repro.vmpi.decomposition import (
     CartGrid,
+    ghost_faces,
     halo_exchange,
     halo_exchange_op,
     phantom_faces,
@@ -160,6 +161,33 @@ def prog_hoisted_batch(comm):
     return None
 
 
+def prog_halo_fresh_payloads(comm):
+    # a fresh Exchange every step whose real faces change value each
+    # step: a reused plan that served stale payloads would diverge
+    cart = CartGrid.for_ranks(comm.size, 2, periodic=True)
+    field = np.arange(16.0).reshape(4, 4) + comm.rank
+    seen = []
+    for step in range(4):
+        field = field * 1.5 + step
+        got = yield from halo_exchange(comm, cart, ghost_faces(field))
+        seen.append(sorted((k, float(v.sum())) for k, v in got.items()))
+    return seen
+
+
+def prog_halo_resized(comm):
+    # Phantom face sizes change between steps on one (comm, tag), across
+    # the eager limit, and in one step on rank 0 only: every such round
+    # needs a rebuilt plan
+    cart = CartGrid.for_ranks(comm.size, 2, periodic=True)
+    for edge in (16, 16, 16384, 16, 64):
+        if edge == 64 and comm.rank == 0:
+            edge = 16384
+        faces = phantom_faces((edge, edge), itemsize=8)
+        yield comm.compute(flops=1e9, efficiency=0.5, label="stencil")
+        got = yield from halo_exchange(comm, cart, faces)
+    return sorted((k, v.nbytes) for k, v in got.items())
+
+
 def prog_exchange_subset(comm):
     # only the even ranks exchange (pairwise); odd ranks just compute --
     # exercises the event core's quiescence flush for unfillable rounds
@@ -206,6 +234,8 @@ CORPUS = [
     ("halo_2d", prog_halo_2d, 8),
     ("halo_doubled_edges", prog_halo_doubled_edges, 4),
     ("hoisted_batch", prog_hoisted_batch, 8),
+    ("halo_fresh_payloads", prog_halo_fresh_payloads, 8),
+    ("halo_resized", prog_halo_resized, 8),
     ("exchange_subset", prog_exchange_subset, 6),
     ("mixed_waitall", prog_mixed_waitall, 4),
     ("elapse_and_labels", prog_elapse_and_labels, 3),
@@ -269,6 +299,35 @@ class TestDifferentialEquivalence:
         assert r1.clocks == r2.clocks
         assert json.dumps(r1.canonical(), sort_keys=True) == \
             json.dumps(r2.canonical(), sort_keys=True)
+
+
+class TestPlanReuse:
+    """Plan reuse is a property of the round's shape, not of op identity."""
+
+    def test_value_equal_rounds_build_one_plan_per_comm_tag(self,
+                                                            monkeypatch):
+        built = []
+        build = EventEngine._build_plan
+
+        def counting(self, members, *rest):
+            built.append(members)
+            return build(self, members, *rest)
+
+        monkeypatch.setattr(EventEngine, "_build_plan", counting)
+
+        def prog(comm):
+            cart = CartGrid.for_ranks(comm.size, 2, periodic=True)
+            for _ in range(6):
+                # a new, value-equal op on each of two tags every step
+                yield from halo_exchange(comm, cart,
+                                         phantom_faces((16, 16), itemsize=8))
+                yield from halo_exchange(comm, cart,
+                                         phantom_faces((8, 8), itemsize=8),
+                                         tag_base=7)
+            return None
+
+        run_spmd(prog, machine=machine(8), mode="event")
+        assert len(built) == 2
 
 
 class TestModeSelection:
