@@ -57,18 +57,20 @@ def icon_timing_program(comm, cells: float, input_bytes: float,
     yield comm.elapse(io_seconds, label="input-staging")
     yield comm.barrier(label="startup")
     work = cells_local * VERTICAL_LEVELS
+    # The forecast step is a constant program: build its fused batch
+    # once and yield it every step (see DESIGN.md, section 10).
+    halo, _keys = halo_exchange_op(comm, cart, faces)
+    forecast_step = (
+        comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.7,
+                     bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.7,
+                     efficiency=0.35, label="dynamics"),
+        comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.3,
+                     bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.3,
+                     efficiency=0.35, label="physics"),
+        halo,
+    )
     for _step in range(steps):
-        # one fused batch per forecast step: the rank resumes once
-        halo, _keys = halo_exchange_op(comm, cart, faces)
-        yield (
-            comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.7,
-                         bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.7,
-                         efficiency=0.35, label="dynamics"),
-            comm.compute(flops=work * FLOPS_PER_CELL_LEVEL * 0.3,
-                         bytes_moved=work * BYTES_PER_CELL_LEVEL * 0.3,
-                         efficiency=0.35, label="physics"),
-            halo,
-        )
+        yield forecast_step
     return cells_local
 
 

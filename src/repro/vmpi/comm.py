@@ -146,12 +146,12 @@ class Comm:
         but as one descriptor -- the engine reuses a plan for rounds of
         the same shape, so halo loops build a fresh one every step.
         """
-        out = tuple((int(d), p) for d, p in sends)
-        srcs = tuple(int(s) for s in recvs)
-        for d, _ in out:
-            self._check_peer(d)
-        for s in srcs:
-            self._check_peer(s)
+        out = tuple([(int(d), p) for d, p in sends])
+        srcs = tuple([int(s) for s in recvs])
+        peers = [d for d, _ in out] + list(srcs)
+        if peers and not 0 <= min(peers) <= max(peers) < len(self.members):
+            for peer in peers:  # raises on the first one out of range
+                self._check_peer(peer)
         return Exchange(sends=out, recvs=srcs, tag=tag,
                         comm_id=self.comm_id, label=label)
 

@@ -126,7 +126,6 @@ class CartGrid:
     def ndims(self) -> int:
         return len(self.dims)
 
-    @lru_cache(maxsize=262144)
     def coords(self, rank: int) -> tuple[int, ...]:
         """Grid coordinates of a rank (row-major, like MPI_Cart_coords)."""
         if not 0 <= rank < self.size:
@@ -144,17 +143,20 @@ class CartGrid:
             rank = rank * d + (c % d)
         return rank
 
-    @lru_cache(maxsize=262144)
     def neighbor(self, rank: int, dim: int, direction: int) -> int | None:
         """Neighbouring rank one step along ``dim`` (+1/-1).
 
         ``None`` at a non-periodic boundary.
         """
-        c = list(self.coords(rank))
-        c[dim] += direction
-        if not self.periodic[dim] and not 0 <= c[dim] < self.dims[dim]:
+        dims = self.dims
+        if not 0 <= rank < math.prod(dims):
+            raise ValueError(f"rank {rank} outside grid of size {self.size}")
+        stride = math.prod(dims[dim + 1:])
+        c = rank // stride % dims[dim]
+        moved = c + direction
+        if not self.periodic[dim] and not 0 <= moved < dims[dim]:
             return None
-        return self.rank_of(tuple(c))
+        return rank + (moved % dims[dim] - c) * stride
 
     def local_shape(self, global_shape: tuple[int, ...],
                     rank: int) -> tuple[int, ...]:
@@ -182,23 +184,20 @@ def halo_exchange_op(comm: Comm, cart: CartGrid,
     makes towards us is exactly our k-th receive from it -- including
     the doubled edges of periodic dimensions of extent 1 or 2.
     """
-    sends = []
-    for (dim, direction), payload in sorted(faces.items()):
-        if direction not in (-1, 1):
+    rank = comm.rank
+    peer = {}
+    for key in faces:
+        if key[1] not in (-1, 1):
             raise ValueError("face direction must be -1 or +1")
-        dest = cart.neighbor(comm.rank, dim, direction)
-        if dest is not None:
-            sends.append((dest, payload))
-    recvs = []
-    keys = []
-    for (dim, direction) in sorted(faces, key=lambda k: (k[0], -k[1])):
-        src = cart.neighbor(comm.rank, dim, direction)
-        if src is not None:
-            # The neighbour in direction d sent its (-d) face towards us.
-            recvs.append(src)
-            keys.append((dim, direction))
-    op = comm.exchange(tuple(sends), tuple(recvs), tag=tag, label=label)
-    return op, tuple(keys)
+        peer[key] = cart.neighbor(rank, key[0], key[1])
+    sends = [(peer[key], payload) for key, payload in sorted(faces.items())
+             if peer[key] is not None]
+    # The neighbour in direction d sent its (-d) face towards us.
+    keys = tuple([key for key in sorted(faces, key=lambda k: (k[0], -k[1]))
+                  if peer[key] is not None])
+    op = comm.exchange(sends, [peer[key] for key in keys], tag=tag,
+                       label=label)
+    return op, keys
 
 
 def halo_exchange(comm: Comm, cart: CartGrid, faces: dict[tuple[int, int], Any],

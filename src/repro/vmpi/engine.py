@@ -141,18 +141,6 @@ def _describe_request(req: Request) -> str:
     return f"{what} rank {req.peer} (comm {req.comm_id}, tag {req.tag})"
 
 
-def _exchange_sizes(op: Exchange) -> tuple[float, tuple]:
-    """Total send bytes of an exchange (left fold) and the
-    ``(dest, nbytes)`` of each send, in one pass over ``op.sends``."""
-    total = 0.0
-    sizes = []
-    for dest, payload in op.sends:
-        n = nbytes_of(payload)
-        total = total + n
-        sizes.append((dest, n))
-    return total, tuple(sizes)
-
-
 class VmpiEngine:
     """Runs one SPMD program over a :class:`~repro.vmpi.machine.Machine`.
 
@@ -511,7 +499,7 @@ class VmpiEngine:
         ekey = (op.comm_id, op.tag)
         rnd = self._xseq[ekey + (r,)]
         self._xseq[ekey + (r,)] = rnd + 1
-        self.traces[r].bytes_sent += _exchange_sizes(op)[0]
+        self.traces[r].bytes_sent += op.nbytes
         return self._decompose_exchange(r, op, ekey + (rnd,))
 
     def _decompose_exchange(self, r: int, op: Exchange,

@@ -20,9 +20,9 @@ way a discrete-event simulator does:
   over NumPy arrays (one ``max``/``where`` sweep over all edges) rather
   than per-edge request machinery.  The engine reuses a plan (edge
   arrays, transfer times, payload routes) for rounds of the same
-  *shape* -- every member's receives, label and per-send
-  ``(dest, nbytes)`` -- so a halo loop that builds a fresh op every
-  step pairs its edges once per run.
+  *shape* -- every member's :attr:`~repro.vmpi.ops.Exchange.shape`:
+  receives, label and per-send ``(dest, nbytes)`` -- so a halo loop
+  that builds a fresh op every step pairs its edges once per run.
 
 Heap invariants (the discrete-event contract):
 
@@ -51,7 +51,7 @@ from heapq import heappop
 
 import numpy as np
 
-from .engine import VmpiEngine, _exchange_sizes
+from .engine import VmpiEngine
 from .collectives import VmpiError, collective_arg_bytes, collective_cost
 from .heap import EventHeap
 from .machine import Machine
@@ -63,8 +63,9 @@ __all__ = ["EventEngine", "EventHeap"]
 class _XchgPlan:
     """Precomputed completion algebra of one exchange round.
 
-    Valid for every round whose ``shape`` -- per member ``(recvs,
-    label, ((dest, nbytes), ...))`` -- equals the one it was built
+    Valid for every round whose ``shape`` -- the members'
+    :attr:`Exchange.shape <repro.vmpi.ops.Exchange.shape>`, ``(recvs,
+    label, ((dest, nbytes), ...))`` each -- equals the one it was built
     from: the shape fixes the pairing, transfer times, eager bits and
     labels.  Payloads are not part of it; ``routes`` says where each
     received payload comes from, so results are filled from the ops
@@ -79,8 +80,10 @@ class _XchgPlan:
     t: np.ndarray           # per-edge transfer seconds (alpha + n/beta)
     eager: np.ndarray       # per-edge bool: send completes locally
     labels: tuple[str, ...]  # per-member comm-trace label
-    #: per member, recvs order: (sender member, send index) of each slot
-    routes: list[list[tuple[int, int]]]
+    #: (sender member, send index) of every received payload, member by
+    #: member in recvs order; member i owns routes[offsets[i]:offsets[i+1]]
+    routes: list[tuple[int, int]]
+    offsets: list[int]
     contig: bool            # members are exactly ranks 0..n-1
 
 
@@ -101,9 +104,8 @@ class EventEngine(VmpiEngine):
         self._locals: dict[int, dict[int, int]] = {
             0: {g: g for g in self._comms[0]}}
         self._node_sets: dict[int, tuple[int, ...]] = {}
-        #: (comm, tag) -> [next round per rank, {round: {rank: (op,
-        #: shape)}}, members] -- the buffered-round state of the
-        #: vectorized path
+        #: (comm, tag) -> [next round per rank, {round: {rank: op}},
+        #: members] -- the buffered-round state of the vectorized path
         self._xst: dict[tuple[int, int], list] = {}
         #: (comm, tag) -> plan of the last round, reused while the shape
         #: repeats
@@ -141,7 +143,7 @@ class EventEngine(VmpiEngine):
         stalled.sort(key=lambda e: e[0])
         for key, pend in stalled:
             for r in sorted(pend):
-                if self._decompose_exchange(r, pend[r][0], key):
+                if self._decompose_exchange(r, pend[r], key):
                     self._wake(r)
         return True
 
@@ -235,6 +237,8 @@ class EventEngine(VmpiEngine):
         clocks = self.clocks
         trace = self.traces[r]
         compute = trace.compute
+        cached = self._compute_cache.get
+        dev = self._devkey[r]
         while i < n:
             op = ops[i]
             i += 1
@@ -242,8 +246,10 @@ class EventEngine(VmpiEngine):
             if kind is Compute:
                 # Inlined _compute_inline: completed Computes leave no
                 # resume value, so the pre-filled None already stands.
-                dt = self._compute_seconds(r, op.flops, op.bytes_moved,
-                                           op.efficiency)
+                dt = cached((dev, op.flops, op.bytes_moved, op.efficiency))
+                if dt is None:
+                    dt = self._compute_seconds(r, op.flops, op.bytes_moved,
+                                               op.efficiency)
                 trace.ops += 1
                 clocks[r] += dt
                 compute[op.label] += dt
@@ -282,13 +288,12 @@ class EventEngine(VmpiEngine):
         seq, rounds, members, nmem = st
         rnd = seq[r]
         seq[r] = rnd + 1
-        total, sizes = _exchange_sizes(op)
-        self.traces[r].bytes_sent += total
+        self.traces[r].bytes_sent += op.nbytes
         try:
             pend = rounds[rnd]
         except KeyError:
             pend = rounds[rnd] = {}
-        pend[r] = (op, (op.recvs, op.label, sizes))
+        pend[r] = op
         if len(pend) == nmem:
             del rounds[rnd]
             return self._finish_round(members, sk + (rnd,), pend, caller=r)
@@ -298,7 +303,7 @@ class EventEngine(VmpiEngine):
 
     def _finish_round(self, members: tuple[int, ...],
                       key: tuple[int, int, int],
-                      pend: dict[int, tuple], caller: int) -> bool:
+                      pend: dict[int, Exchange], caller: int) -> bool:
         """Complete a fully-posted round; True if the caller finished."""
         plan = self._round_plan(key, members, pend)
         if plan is None:
@@ -306,7 +311,7 @@ class EventEngine(VmpiEngine):
             # onto the generic machinery, which completes what matches.
             caller_done = False
             for r in sorted(pend):
-                if self._decompose_exchange(r, pend[r][0], key):
+                if self._decompose_exchange(r, pend[r], key):
                     if r == caller:
                         caller_done = True
                     else:
@@ -334,15 +339,16 @@ class EventEngine(VmpiEngine):
         traces = self.traces
         resume = self._resume
         batches = self._batch
-        labels = plan.labels
-        routes = plan.routes
-        sends = [pend[g][0].sends for g in members]
+        offsets = plan.offsets
+        sends = [pend[g].sends for g in members]
+        got = [sends[s][k][1] for s, k in plan.routes]
         push = self._heap.push
-        for i, g in enumerate(members):
-            res = [sends[s][k][1] for s, k in routes[i]]
-            d = done_list[i]
+        for g, d, waited, label, lo, hi in zip(
+                members, done_list, waited_list, plan.labels, offsets,
+                offsets[1:]):
+            res = got[lo:hi]
             clocks[g] = d
-            traces[g].comm[labels[i]] += waited_list[i]
+            traces[g].comm[label] += waited
             if g != caller:
                 # If the member blocked on this exchange as the last op
                 # of a batch, complete the batch here: on wake the rank
@@ -361,9 +367,9 @@ class EventEngine(VmpiEngine):
 
     def _round_plan(self, key: tuple[int, int, int],
                     members: tuple[int, ...],
-                    pend: dict[int, tuple]) -> _XchgPlan | None:
+                    pend: dict[int, Exchange]) -> _XchgPlan | None:
         pkey = key[:2]
-        shape = tuple([pend[g][1] for g in members])
+        shape = tuple([pend[g].shape for g in members])
         cached = self._xplans.get(pkey)
         if cached is not None and cached.shape == shape:
             return cached
@@ -383,7 +389,10 @@ class EventEngine(VmpiEngine):
         """
         sends_at: dict[tuple[int, int], list] = defaultdict(list)
         recv_slots: dict[tuple[int, int], list] = defaultdict(list)
-        routes = [[None] * len(recvs) for recvs, _, _ in shape]
+        offsets = [0]
+        for recvs, _, _ in shape:
+            offsets.append(offsets[-1] + len(recvs))
+        routes = [None] * offsets[-1]
         for i, g in enumerate(members):
             recvs, _label, sizes = shape[i]
             for k, (dest_local, n) in enumerate(sizes):
@@ -406,7 +415,7 @@ class EventEngine(VmpiEngine):
                 dst_idx.append(ri)
                 times.append(self._p2p_seconds(s_g, d_g, n))
                 eager.append(n <= self.eager_limit)
-                routes[ri][slot] = (si, k)
+                routes[offsets[ri] + slot] = (si, k)
         return _XchgPlan(
             shape=shape,
             nedges=len(times),
@@ -416,6 +425,7 @@ class EventEngine(VmpiEngine):
             eager=np.array(eager, dtype=bool),
             labels=tuple(label for _, label, _ in shape),
             routes=routes,
+            offsets=offsets,
             contig=members[0] == 0 and members[-1] == len(members) - 1,
         )
 

@@ -224,7 +224,8 @@ class Exchange(Op):
 
     Halo patterns yield one ``Exchange`` per step instead of one op per
     face; the event engine reuses a vectorized plan for rounds of the
-    same shape (receives, label and per-send ``(dest, nbytes)``).
+    same :attr:`shape`.  ``nbytes`` and ``shape`` are derived from the
+    other fields once, at construction.
     """
 
     sends: tuple[tuple[int, Any], ...]
@@ -232,9 +233,23 @@ class Exchange(Op):
     tag: int = 0
     comm_id: int = 0
     label: str = "p2p"
+    #: total send bytes (a left fold over ``sends``)
+    nbytes: float = field(init=False, repr=False, compare=False)
+    #: the exchange without its payloads -- ``(recvs, label, ((dest,
+    #: nbytes), ...))``, everything the engine's round plan depends on
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate_tag(self.tag)
+        total = 0.0
+        sizes = []
+        for dest, payload in self.sends:
+            n = nbytes_of(payload)
+            total = total + n
+            sizes.append((dest, n))
+        object.__setattr__(self, "nbytes", total)
+        object.__setattr__(self, "shape",
+                           (self.recvs, self.label, tuple(sizes)))
 
 
 @dataclass(frozen=True)

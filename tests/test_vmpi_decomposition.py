@@ -121,6 +121,31 @@ class TestCartGrid:
                 fwd = g.neighbor(r, d, +1)
                 assert g.neighbor(fwd, d, -1) == r
 
+    @pytest.mark.parametrize("dims,periodic", [
+        ((3, 4), (True, False)),
+        ((1, 2, 5), (True, True, False)),
+        ((2, 1, 3, 2), (False, True, True, False)),
+    ])
+    def test_neighbor_matches_coordinate_step(self, dims, periodic):
+        """The stride arithmetic agrees with stepping the coordinates."""
+        g = CartGrid(dims=dims, periodic=periodic)
+        for r in range(g.size):
+            for d in range(len(dims)):
+                for step in (-1, +1):
+                    c = list(g.coords(r))
+                    c[d] += step
+                    want = (None if not periodic[d]
+                            and not 0 <= c[d] < dims[d]
+                            else g.rank_of(tuple(c)))
+                    assert g.neighbor(r, d, step) == want
+
+    def test_neighbor_rank_out_of_range(self):
+        g = CartGrid(dims=(2, 2), periodic=(True, True))
+        with pytest.raises(ValueError):
+            g.neighbor(4, 0, +1)
+        with pytest.raises(ValueError):
+            g.neighbor(-1, 0, +1)
+
 
 class TestHaloExchange:
     def test_faces_arrive_from_correct_neighbors(self):
